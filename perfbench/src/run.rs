@@ -5,7 +5,7 @@ use crate::gen::{encode, Corpus};
 use crate::replay::{replay, Probe, Replay, Stack};
 use crate::score::Fold;
 use crate::serve::{connections, plan, session, Session};
-use crate::stats::{median, peak_rss_mb, quantile};
+use crate::stats::{median, peak_rss_mb, pin_mmap_threshold, quantile, reset_peak_rss, trim_heap};
 use crate::trace::Spans;
 use crate::workloads::{Kind, Rung};
 use dpd_core::shard::MultiStreamEvent;
@@ -17,17 +17,16 @@ const MIN_REPS: usize = 3;
 
 /// Offered load of serve-paced, samples per second over all connections.
 /// The closed-loop capacity of the same configuration is ~2 Msamples/s
-/// on a 2-CPU Intel Xeon host, but paced 16-sample frames cost the
-/// server ~700 ns/sample; at 1 Msamples/s the generator threads lose the
-/// CPU often enough to fall behind, at this rate they keep schedule.
+/// on a 2-CPU Intel Xeon host; this is a quarter of it, so the server
+/// keeps up with the load on a shared host and the generator keeps time.
 pub const SERVE_RATE: f64 = 500_000.0;
 
 /// The generator fell behind (and the serve-paced run is invalid) when
-/// the 99th percentile of send time minus due time exceeds this. A
-/// generator thread preempted by the server's threads on a 2-CPU host
-/// runs up to a few ms late and catches up (its lateness is counted in
-/// the ack latency, which runs from the due time); a lag beyond a whole
-/// scheduler period means the offered load was not applied.
+/// the 99th percentile of send time minus due time exceeds this. The
+/// generator runs ~0.25 ms late at p99 and catches up when it is
+/// preempted (its lateness counts in the ack latency, which runs from the
+/// due time); a lag beyond a whole scheduler period means the offered
+/// load was not applied.
 pub const LAG_LIMIT_MS: f64 = 10.0;
 
 /// Samples of each workload's corpus the ledger stacks replay.
@@ -163,12 +162,14 @@ fn fold_events(corpus: &Corpus, events: &[MultiStreamEvent]) -> Fold {
 /// The untraced end-to-end run.
 pub fn end_to_end(kind: Kind, seed: u64, seconds: u64) -> Result<Outcome, String> {
     let corpus = Corpus::generate(seed, kind.salt(), kind.shape());
-    let mut o = match kind {
-        Kind::Serve => serve_paced(&corpus, seconds)?,
-        _ => replay_workload(kind, &corpus, seed, seconds)?,
-    };
-    o.metric("peak_rss_mb", peak_rss_mb(), "MiB");
-    Ok(o)
+    match kind {
+        Kind::Serve => serve_paced(&corpus, seconds),
+        _ => {
+            let mut o = replay_workload(kind, &corpus, seed, seconds)?;
+            o.metric("peak_rss_mb", peak_rss_mb(), "MiB");
+            Ok(o)
+        }
+    }
 }
 
 /// Deep, wide and query-join: repeated set-up and timed replay.
@@ -368,14 +369,17 @@ fn wire_oracle(
 /// serve-paced: repeated open-loop sessions at [`SERVE_RATE`].
 fn serve_paced(corpus: &Corpus, seconds: u64) -> Result<Outcome, String> {
     let kind = Kind::Serve;
+    pin_mmap_threshold()?;
     let mut o = Outcome::default();
     let builder = kind.builder();
     let conns = connections();
     let (plans, _) = plan(corpus, &corpus.records, SERVE_RATE, conns)?;
     let oracle = wire_oracle(corpus, kind, &plans)?;
     drop(plans);
-    // Warm-up session on the first quarter of the schedule: page faults
-    // and lazy allocation land here, not in the measured sessions.
+    // Warm-up session on the first quarter of the schedule: lazy
+    // initialisation lands here, not in the measured sessions (each of
+    // those starts from a trimmed heap and pays its own page faults, as
+    // the first session of a fresh server does).
     let (warm, _) = plan(
         corpus,
         &corpus.records[..corpus.records.len() / 4],
@@ -386,11 +390,15 @@ fn serve_paced(corpus: &Corpus, seconds: u64) -> Result<Outcome, String> {
     drop(warm);
     let mut series = Series::default();
     let mut lag99 = Vec::new();
+    let mut rss = Vec::new();
     let mut first: Option<Fold> = None;
     let t_run = Instant::now();
     while series.setup.len() < MIN_REPS || t_run.elapsed() < Duration::from_secs(seconds) {
+        trim_heap();
+        reset_peak_rss()?;
         let (plans, encode_ns) = plan(corpus, &corpus.records, SERVE_RATE, conns)?;
         let s = session(&builder, &plans, true, false)?;
+        rss.push(peak_rss_mb());
         let fold = fold_events(corpus, &s.report.events);
         gate_session(&mut o, &s, &fold, &oracle);
         series.push(
@@ -415,6 +423,8 @@ fn serve_paced(corpus: &Corpus, seconds: u64) -> Result<Outcome, String> {
     ));
     o.raw("loadgen.lag_p99_ms", lag99);
     series.report(&mut o, &first.expect("at least one session"));
+    o.metric("peak_rss_mb", median(&rss), "MiB");
+    o.raw("peak_rss_mb", rss);
     Ok(o)
 }
 

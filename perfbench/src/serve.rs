@@ -2,18 +2,20 @@
 //! (the serve-paced workload) and a closed-loop send-as-fast-as-acked
 //! client (the serve stack of the ledger).
 //!
-//! Load comes from this one process, one generator thread per connection,
-//! never more connections than online CPUs. Each generator thread both
-//! writes its connection's frames and reads its acknowledgements, so the
-//! generator adds no threads beyond the connections.
+//! Load comes from this one process: one generator thread writes every
+//! connection's frames and reads their acknowledgements, over no more
+//! connections than online CPUs. On a 2-CPU host the server's connection
+//! workers then share the CPUs with one generator thread, not with one
+//! per connection, so the generator is rarely preempted and keeps time.
 
 use crate::gen::{encode, Corpus, Encoded};
-use crate::stats::{process_cpu_ns, thread_cpu_ns};
+use crate::stats::{process_cpu_ns, thread_cpu_ns, Timespec};
 use crate::trace::Spans;
 use dpd_core::pipeline::DpdBuilder;
 use par_runtime::net::{DpdServer, NetConfig, ServeReport, HANDSHAKE_MAGIC};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 /// Wire connections (capped by online CPUs).
@@ -31,8 +33,17 @@ pub struct ConnPlan {
     pub due_ns: Vec<u64>,
 }
 
+/// The paced schedule's granularity: frames due within the same
+/// millisecond are due, and sent, together at its start. A server woken
+/// for every 16-sample frame spends most of its CPU on wakeups and
+/// syscalls, whose cost swings with the load on a shared host; one burst
+/// per connection per millisecond keeps the offered rate and makes the
+/// CPU per sample measure the decode and ingest path.
+pub const BURST_NS: u64 = 1_000_000;
+
 /// Split `records` over the connections by stream id and schedule
-/// record `k` at `k * rec_len / rate`.
+/// record `k` at `k * rec_len / rate`, rounded down to a [`BURST_NS`]
+/// boundary.
 /// Returns the plans and the time spent inside the DTB encoder.
 pub fn plan(
     corpus: &Corpus,
@@ -46,7 +57,7 @@ pub fn plan(
     for (k, &r) in records.iter().enumerate() {
         let c = r.0 as usize % conns;
         recs[c].push(r);
-        due[c].push((k as f64 * step) as u64);
+        due[c].push((k as f64 * step) as u64 / BURST_NS * BURST_NS);
     }
     let mut plans = Vec::with_capacity(conns);
     let mut encode_ns = 0;
@@ -61,7 +72,7 @@ pub fn plan(
     Ok((plans, encode_ns))
 }
 
-/// What one connection's generator measured.
+/// What the generator measured on one connection.
 #[derive(Default)]
 struct ConnRun {
     /// Per frame: first covering ack minus due time, ms.
@@ -74,8 +85,6 @@ struct ConnRun {
     acks: u64,
     /// Time spent inside socket writes, ns.
     write_ns: u64,
-    /// This generator thread's own CPU time, ns.
-    cpu_ns: u64,
     /// When the last frame was acknowledged.
     done: Option<Instant>,
     /// Spans around each socket write and ack read (traced sessions).
@@ -112,171 +121,271 @@ pub struct Session {
     pub spans: Vec<Spans>,
 }
 
-/// Drain every acknowledgement word available without blocking.
-fn read_acks(
-    sock: &mut TcpStream,
-    partial: &mut Vec<u8>,
-    run: &mut ConnRun,
-    plan: &ConnPlan,
+/// One connection as the generator drives it.
+struct Conn<'a> {
+    sock: TcpStream,
+    plan: &'a ConnPlan,
+    run: ConnRun,
+    /// Bytes of a partial acknowledgement word.
+    partial: Vec<u8>,
+    /// Frames written.
     sent: usize,
-    acked_frames: &mut usize,
-    origin: Instant,
-) -> Result<(), String> {
-    let mut buf = [0u8; 4096];
-    loop {
-        let t = Instant::now();
-        let r = sock.read(&mut buf);
-        if let (Some(s), Ok(_)) = (run.spans.as_mut(), &r) {
-            s.close("ack_read", t);
+    /// Frames acknowledged.
+    acked_frames: usize,
+    /// Bytes written.
+    off: usize,
+}
+
+impl Conn<'_> {
+    fn frames(&self) -> usize {
+        self.plan.cum.len()
+    }
+
+    /// Write every frame that is due (paced) or up to ~64 KiB beyond
+    /// what is written (closed loop).
+    fn send(&mut self, origin: Instant, paced: bool) -> Result<(), String> {
+        let frames = self.frames();
+        if self.sent == frames {
+            return Ok(());
         }
-        match r {
-            Ok(0) => return Err("server closed the connection".into()),
-            Ok(n) => {
-                partial.extend_from_slice(&buf[..n]);
-                let words = partial.len() / 8;
-                for w in 0..words {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&partial[w * 8..w * 8 + 8]);
-                    run.acked = run.acked.max(u64::from_le_bytes(b));
-                    run.acks += 1;
-                }
-                partial.drain(..words * 8);
-                let now = Instant::now();
-                let at = now.duration_since(origin).as_nanos() as f64;
-                while *acked_frames < sent && plan.cum[*acked_frames] <= run.acked {
-                    run.lat_ms
-                        .push((at - plan.due_ns[*acked_frames] as f64) / 1e6);
-                    *acked_frames += 1;
-                }
-                if *acked_frames == plan.cum.len() {
-                    run.done = Some(now);
-                }
+        let now_ns = origin.elapsed().as_nanos() as u64;
+        let mut upto = self.sent;
+        if paced {
+            while upto < frames && self.plan.due_ns[upto] <= now_ns {
+                upto += 1;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("ack read: {e}")),
+        } else {
+            while upto < frames && self.plan.enc.frame_end[upto] - self.off < 64 << 10 {
+                upto += 1;
+            }
+            upto = upto.max(self.sent + 1);
+        }
+        if upto == self.sent {
+            return Ok(());
+        }
+        let end = self.plan.enc.frame_end[upto - 1];
+        let t = Instant::now();
+        let sent_at = t.duration_since(origin).as_nanos() as f64;
+        while self.off < end {
+            match self.sock.write(&self.plan.enc.bytes[self.off..end]) {
+                Ok(n) => self.off += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.read_acks(origin)?;
+                    std::thread::sleep(Duration::from_micros(20));
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(format!("frame write: {e}")),
+            }
+        }
+        self.run.write_ns += t.elapsed().as_nanos() as u64;
+        if let Some(s) = self.run.spans.as_mut() {
+            s.close("socket_write", t);
+        }
+        if paced {
+            for k in self.sent..upto {
+                self.run
+                    .lag_ms
+                    .push((sent_at - self.plan.due_ns[k] as f64) / 1e6);
+            }
+        }
+        self.sent = upto;
+        Ok(())
+    }
+
+    /// Drain every acknowledgement word available without blocking.
+    fn read_acks(&mut self, origin: Instant) -> Result<(), String> {
+        let mut buf = [0u8; 4096];
+        loop {
+            let t = Instant::now();
+            let r = self.sock.read(&mut buf);
+            if let (Some(s), Ok(_)) = (self.run.spans.as_mut(), &r) {
+                s.close("ack_read", t);
+            }
+            match r {
+                Ok(0) => return Err("server closed the connection".into()),
+                Ok(n) => {
+                    self.partial.extend_from_slice(&buf[..n]);
+                    let words = self.partial.len() / 8;
+                    for w in 0..words {
+                        let mut b = [0u8; 8];
+                        b.copy_from_slice(&self.partial[w * 8..w * 8 + 8]);
+                        self.run.acked = self.run.acked.max(u64::from_le_bytes(b));
+                        self.run.acks += 1;
+                    }
+                    self.partial.drain(..words * 8);
+                    let now = Instant::now();
+                    let at = now.duration_since(origin).as_nanos() as f64;
+                    while self.acked_frames < self.sent
+                        && self.plan.cum[self.acked_frames] <= self.run.acked
+                    {
+                        let due = self.plan.due_ns[self.acked_frames] as f64;
+                        self.run.lat_ms.push((at - due) / 1e6);
+                        self.acked_frames += 1;
+                    }
+                    if self.acked_frames == self.frames() {
+                        self.run.done = Some(now);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(format!("ack read: {e}")),
+            }
+        }
+    }
+
+    /// Close our side and wait for the server's close, so the server
+    /// counts a clean close before it is shut down.
+    fn close(mut self) -> Result<ConnRun, String> {
+        self.sock
+            .shutdown(Shutdown::Write)
+            .map_err(|e| e.to_string())?;
+        self.sock
+            .set_nonblocking(false)
+            .map_err(|e| e.to_string())?;
+        self.sock
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .map_err(|e| e.to_string())?;
+        let mut sink = [0u8; 256];
+        loop {
+            match self.sock.read(&mut sink) {
+                Ok(0) => return Ok(self.run),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(format!("waiting for server close: {e}")),
+            }
         }
     }
 }
+
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+extern "C" {
+    fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
+}
+
+const POLLIN: i16 = 1;
+
+/// Block until one of `fds` has bytes to read or `ns` nanoseconds have
+/// passed (`ppoll` has the same timer precision as a sleep).
+fn wait_readable(fds: impl Iterator<Item = i32>, ns: u64) -> Result<(), String> {
+    let mut fds: Vec<PollFd> = fds
+        .map(|fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        })
+        .collect();
+    let timeout = Timespec {
+        tv_sec: (ns / 1_000_000_000) as i64,
+        tv_nsec: (ns % 1_000_000_000) as i64,
+    };
+    // SAFETY: `fds` holds `fds.len()` valid entries and `timeout` is valid
+    // for the duration of the call; a null signal mask leaves the mask
+    // unchanged.
+    let rc = unsafe {
+        ppoll(
+            fds.as_mut_ptr(),
+            fds.len() as u64,
+            &timeout,
+            std::ptr::null(),
+        )
+    };
+    if rc < 0 {
+        let e = std::io::Error::last_os_error();
+        if e.kind() != ErrorKind::Interrupted {
+            return Err(format!("ack wait: {e}"));
+        }
+    }
+    Ok(())
+}
+
+/// The generator waits for acknowledgements and due frames in slices no
+/// longer than this. On a virtual machine a thread that sleeps for most of
+/// a millisecond lets its vCPU halt, and the wake-up then waits for the
+/// host: on a 2-CPU Xeon VM such sleeps overslept by 2-28 ms often enough
+/// to put the generator's lag p99 past 10 ms, while with 50 us slices it
+/// stayed near 0.25 ms.
+const WAIT_SLICE_NS: u64 = 50_000;
 
 /// Give up on a session this long after its last due time.
 const DEADLINE: Duration = Duration::from_secs(60);
 
-/// Drive one connection: send each frame when due (paced) or as fast as
-/// the socket takes it (closed loop), and time every acknowledgement.
+/// Drive every connection from this thread: send each frame when due
+/// (paced) or as fast as the sockets take them (closed loop), and time
+/// every acknowledgement when it arrives.
 fn generate(
-    mut sock: TcpStream,
-    plan: &ConnPlan,
+    socks: Vec<TcpStream>,
+    plans: &[ConnPlan],
     origin: Instant,
     paced: bool,
     traced: bool,
-) -> Result<ConnRun, String> {
-    let cpu0 = thread_cpu_ns();
-    let mut run = ConnRun {
-        spans: traced.then(|| Spans::new(origin)),
-        ..ConnRun::default()
-    };
-    sock.set_nonblocking(true).map_err(|e| e.to_string())?;
-    let frames = plan.cum.len();
-    let last_due = Duration::from_nanos(plan.due_ns.last().copied().unwrap_or(0));
-    let mut partial = Vec::new();
-    let mut sent = 0usize;
-    let mut acked_frames = 0usize;
-    let mut off = 0usize;
-    while run.done.is_none() && frames > 0 {
-        let now = origin.elapsed();
-        if now > last_due + DEADLINE {
-            return Err(format!("acks stalled at {acked_frames}/{frames} frames"));
+) -> Result<Vec<ConnRun>, String> {
+    let mut conns = Vec::with_capacity(plans.len());
+    for (sock, plan) in socks.into_iter().zip(plans) {
+        sock.set_nonblocking(true).map_err(|e| e.to_string())?;
+        let mut run = ConnRun {
+            spans: traced.then(|| Spans::new(origin)),
+            ..ConnRun::default()
+        };
+        if plan.cum.is_empty() {
+            run.done = Some(origin);
         }
-        if sent < frames {
-            let now_ns = now.as_nanos() as u64;
-            let mut upto = sent;
-            if paced {
-                while upto < frames && plan.due_ns[upto] <= now_ns {
-                    upto += 1;
-                }
-            } else {
-                // Closed loop: keep at most ~64 KiB in flight per write.
-                while upto < frames && plan.enc.frame_end[upto] - off < 64 << 10 {
-                    upto += 1;
-                }
-                upto = upto.max(sent + 1);
-            }
-            if upto > sent {
-                let end = plan.enc.frame_end[upto - 1];
-                let t = Instant::now();
-                let sent_at = t.duration_since(origin).as_nanos() as f64;
-                while off < end {
-                    match sock.write(&plan.enc.bytes[off..end]) {
-                        Ok(n) => off += n,
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            read_acks(
-                                &mut sock,
-                                &mut partial,
-                                &mut run,
-                                plan,
-                                sent,
-                                &mut acked_frames,
-                                origin,
-                            )?;
-                            std::thread::sleep(Duration::from_micros(20));
-                        }
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(e) => return Err(format!("frame write: {e}")),
-                    }
-                }
-                run.write_ns += t.elapsed().as_nanos() as u64;
-                if let Some(s) = run.spans.as_mut() {
-                    s.close("socket_write", t);
-                }
-                if paced {
-                    for k in sent..upto {
-                        run.lag_ms.push((sent_at - plan.due_ns[k] as f64) / 1e6);
-                    }
-                }
-                sent = upto;
-            }
-        }
-        read_acks(
-            &mut sock,
-            &mut partial,
-            &mut run,
+        conns.push(Conn {
+            sock,
             plan,
-            sent,
-            &mut acked_frames,
-            origin,
-        )?;
-        if run.done.is_some() {
+            run,
+            partial: Vec::new(),
+            sent: 0,
+            acked_frames: 0,
+            off: 0,
+        });
+    }
+    let last_due = plans
+        .iter()
+        .filter_map(|p| p.due_ns.last().copied())
+        .max()
+        .map_or(Duration::ZERO, Duration::from_nanos);
+    loop {
+        if origin.elapsed() > last_due + DEADLINE {
+            let acked: usize = conns.iter().map(|c| c.acked_frames).sum();
+            let frames: usize = conns.iter().map(Conn::frames).sum();
+            return Err(format!("acks stalled at {acked}/{frames} frames"));
+        }
+        for c in conns.iter_mut().filter(|c| c.run.done.is_none()) {
+            c.send(origin, paced)?;
+            c.read_acks(origin)?;
+        }
+        let open: Vec<&Conn> = conns.iter().filter(|c| c.run.done.is_none()).collect();
+        if open.is_empty() {
             break;
         }
+        if !paced && open.iter().any(|c| c.sent < c.frames()) {
+            continue;
+        }
+        // Wait for the next acknowledgement or the next due frame,
+        // whichever comes first, so acks are timed when they arrive.
         let now_ns = origin.elapsed().as_nanos() as u64;
-        if sent == frames {
-            std::thread::sleep(Duration::from_micros(50));
-        } else if paced && plan.due_ns[sent] > now_ns {
-            std::thread::sleep(Duration::from_nanos(plan.due_ns[sent] - now_ns));
+        let next_due = open
+            .iter()
+            .filter(|c| c.sent < c.frames())
+            .map(|c| c.plan.due_ns[c.sent])
+            .min();
+        let wait = next_due.map_or(WAIT_SLICE_NS, |d| d.saturating_sub(now_ns));
+        if wait > 0 {
+            let fds = open.iter().map(|c| c.sock.as_raw_fd());
+            wait_readable(fds, wait.min(WAIT_SLICE_NS))?;
         }
     }
-    // Close our side and wait for the server's close, so the server
-    // counts a clean close before it is shut down.
-    sock.shutdown(Shutdown::Write).map_err(|e| e.to_string())?;
-    sock.set_nonblocking(false).map_err(|e| e.to_string())?;
-    sock.set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|e| e.to_string())?;
-    let mut sink = [0u8; 256];
-    loop {
-        match sock.read(&mut sink) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("waiting for server close: {e}")),
-        }
-    }
-    run.cpu_ns = thread_cpu_ns() - cpu0;
-    Ok(run)
+    conns.into_iter().map(Conn::close).collect()
 }
 
 /// Start a server for `builder`, connect one client per plan, replay
-/// the plans and shut the server down.
+/// the plans from one generator thread and shut the server down.
 pub fn session(
     builder: &DpdBuilder,
     plans: &[ConnPlan],
@@ -303,22 +412,12 @@ pub fn session(
     let setup_ns = t_setup.elapsed().as_nanos() as u64;
     let origin = Instant::now() + Duration::from_millis(2);
     let cpu0 = process_cpu_ns();
-    let runs: Vec<Result<ConnRun, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = socks
-            .into_iter()
-            .zip(plans)
-            .map(|(s, p)| scope.spawn(move || generate(s, p, origin, paced, traced)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("generator panicked".into()))
-            })
-            .collect()
-    });
+    let gen0 = thread_cpu_ns();
+    let runs = generate(socks, plans, origin, paced, traced);
+    let gen_cpu = thread_cpu_ns() - gen0;
     let cpu1 = process_cpu_ns();
     let report = server.shutdown().map_err(|e| e.to_string())?;
+    let runs = runs?;
     let mut s = Session {
         setup_ns,
         handshake_ns,
@@ -330,14 +429,12 @@ pub fn session(
         acks: 0,
         write_ns: 0,
         wall_ns: 0,
-        server_cpu_ns: 0,
+        server_cpu_ns: (cpu1 - cpu0).saturating_sub(gen_cpu),
         report,
         spans: Vec::new(),
     };
-    let mut gen_cpu = 0;
     let mut last = origin;
     for (run, plan) in runs.into_iter().zip(plans) {
-        let run = run?;
         s.lat_ms.extend(run.lat_ms);
         s.lag_ms.extend(run.lag_ms);
         s.sent += plan.enc.samples;
@@ -345,13 +442,11 @@ pub fn session(
         s.frames += plan.cum.len() as u64;
         s.acks += run.acks;
         s.write_ns += run.write_ns;
-        gen_cpu += run.cpu_ns;
         s.spans.extend(run.spans);
         if let Some(d) = run.done {
             last = last.max(d);
         }
     }
     s.wall_ns = last.saturating_duration_since(origin).as_nanos() as u64;
-    s.server_cpu_ns = (cpu1 - cpu0).saturating_sub(gen_cpu);
     Ok(s)
 }
