@@ -38,6 +38,21 @@
 //! `resync_interval` pushes to bound accumulated rounding error; batch
 //! ingestion splits blocks at resync boundaries so the resync points are
 //! sample-exact.
+//!
+//! # Tracked pushes
+//!
+//! A detector locked on period `p` reads only `d(p)` (and the history), so
+//! for exact metrics it feeds the engine through a crate-private *tracked*
+//! push: the sample is appended to history and only delay `p`'s sum and
+//! pair count move, with the same per-accumulator operations as `push`.
+//! That is O(1) per sample instead of O(M). The other sums fall behind
+//! until [`IncrementalEngine::resync`] recounts them. For an exact metric
+//! with a full history the recount compares contiguous slices in
+//! independent lanes, which LLVM vectorizes; this is exact because every
+//! pair contribution is a small integer, so the sums do not depend on the
+//! order of summation and equal the incrementally maintained ones bit for
+//! bit. [`IncrementalEngine::first_zero`] likewise tests a block of delays
+//! per step without a branch per delay.
 
 use crate::metric::Metric;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
@@ -48,6 +63,10 @@ use crate::window::MirroredHistory;
 /// (history slice of `N + M + BLOCK` samples plus the `M`-entry sums array)
 /// stays cache-resident for the window sizes the paper uses (`N <= 1024`).
 const STEADY_BLOCK: usize = 64;
+
+/// Independent accumulators (and delays tested per step) in the vectorized
+/// recount and zero test.
+const LANES: usize = 8;
 
 /// Configuration of an [`IncrementalEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,10 +159,13 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         self.config.frame + self.config.m_max
     }
 
-    /// `true` once every delay has a full frame of pairs.
+    /// `true` while every delay has a full frame of pairs: the retained
+    /// history holds at least `N + M` samples. It turns `false` again after
+    /// [`IncrementalEngine::reset`] or a growing
+    /// [`IncrementalEngine::reconfigure`] until the frames have refilled.
     #[inline]
     pub fn is_warm(&self) -> bool {
-        self.pushed as usize >= self.warmup_len()
+        self.next_push_is_steady()
     }
 
     /// `true` when the *next* push takes the branch-free steady-state path:
@@ -198,6 +220,29 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
                 self.resync();
             }
             rest = later;
+        }
+    }
+
+    /// Push one sample but update only delay `m`'s running sum and pair
+    /// count, with the same operations `push` applies to that delay. Every
+    /// other delay's sum is stale until the next
+    /// [`IncrementalEngine::resync`]; no resync interval applies here.
+    /// Only for exact metrics, whose recount equals the running sums.
+    #[inline]
+    pub(crate) fn push_tracked(&mut self, sample: T, m: usize) {
+        let n = self.config.frame;
+        self.history.push(sample);
+        self.pushed += 1;
+        let h = self.history.as_slice();
+        let t = h.len();
+        if t > m {
+            let (sum, pairs) = (&mut self.sums[m - 1], &mut self.pairs[m - 1]);
+            *sum += self.metric.pair(h[t - 1], h[t - 1 - m]);
+            *pairs += 1;
+            if *pairs as usize > n {
+                *sum -= self.metric.pair(h[t - 1 - n], h[t - 1 - n - m]);
+                *pairs = n as u32;
+            }
         }
     }
 
@@ -274,9 +319,21 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     /// floating-point drift for inexact metrics; a no-op semantically.
     pub fn resync(&mut self) {
         let n = self.config.frame;
+        let m_max = self.config.m_max;
+        if self.metric.exact() && self.next_push_is_steady() {
+            // Every delay has a full frame: compare the newest N samples
+            // with their m-delayed copy, both contiguous.
+            let h = self.history.tail(n + m_max);
+            let frame = &h[m_max..];
+            for m in 1..=m_max {
+                self.sums[m - 1] = lane_sum(&self.metric, frame, &h[m_max - m..m_max - m + n]);
+                self.pairs[m - 1] = n as u32;
+            }
+            return;
+        }
         let h = self.history.as_slice();
         let avail = h.len();
-        for m in 1..=self.config.m_max {
+        for m in 1..=m_max {
             // Pairs exist for current ages 0..N-1 provided age+m < avail.
             let mut sum = 0.0;
             let mut count = 0u32;
@@ -332,8 +389,23 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
     ///
     /// For the event metric this is the paper's equation-(2) detection: "if
     /// d(m) = 0, then a periodic pattern with dimension m is detected".
+    /// Tests eight delays per step with one branch per block.
     pub fn first_zero(&self) -> Option<usize> {
-        (1..=self.config.m_max).find(|&m| self.is_complete(m) && self.sums[m - 1] == 0.0)
+        let n = self.config.frame;
+        let hit = |s: f64, p: u32| (s == 0.0) & (p as usize == n);
+        // Whole blocks first, one branch per block; then the block that
+        // hit, or the remainder, delay by delay.
+        let start = self
+            .sums
+            .chunks_exact(LANES)
+            .zip(self.pairs.chunks_exact(LANES))
+            .position(|(s, p)| s.iter().zip(p).fold(false, |any, (&s, &p)| any | hit(s, p)))
+            .unwrap_or(self.sums.len() / LANES)
+            * LANES;
+        let end = self.sums.len().min(start + LANES);
+        (start..end)
+            .find(|&m| hit(self.sums[m], self.pairs[m]))
+            .map(|m| m + 1)
     }
 
     /// Reconfigure frame size and maximum delay, preserving as much history
@@ -453,6 +525,25 @@ impl<T: Copy, M: Metric<T>> IncrementalEngine<T, M> {
         engine.pushed = pushed;
         Ok(engine)
     }
+}
+
+/// Pair-sum of aligned samples, accumulated in [`LANES`] independent lanes
+/// so LLVM vectorizes it. Exact metrics only: their pair contributions are
+/// small integers, so the order of summation does not change the sum.
+fn lane_sum<T: Copy, M: Metric<T>>(metric: &M, frame: &[T], delayed: &[T]) -> f64 {
+    let (frame_chunks, delayed_chunks) = (frame.chunks_exact(LANES), delayed.chunks_exact(LANES));
+    let tail = frame_chunks
+        .remainder()
+        .iter()
+        .zip(delayed_chunks.remainder())
+        .fold(0.0, |acc, (&a, &b)| acc + metric.pair(a, b));
+    let mut lanes = [0.0f64; LANES];
+    for (a, b) in frame_chunks.zip(delayed_chunks) {
+        for k in 0..LANES {
+            lanes[k] += metric.pair(a[k], b[k]);
+        }
+    }
+    lanes.iter().fold(tail, |acc, &lane| acc + lane)
 }
 
 #[cfg(test)]
@@ -597,6 +688,35 @@ mod tests {
         for m in 1..=4 {
             assert!(e.is_complete(m), "m={m} incomplete after warmup");
         }
+    }
+
+    #[test]
+    fn is_warm_follows_retained_history_after_reset() {
+        let mut e = IncrementalEngine::new(EventMetric, EngineConfig::square(4)).unwrap();
+        feed(&mut e, &[1i64; 8]);
+        assert!(e.is_warm());
+        e.reset();
+        assert!(!e.is_warm(), "reset empties every frame");
+        for i in 0..8 {
+            assert_eq!(e.is_warm(), (1..=4).all(|m| e.is_complete(m)), "i={i}");
+            e.push(1);
+        }
+        assert!(e.is_warm());
+    }
+
+    #[test]
+    fn is_warm_follows_retained_history_after_growing_reconfigure() {
+        let mut e = IncrementalEngine::new(EventMetric, EngineConfig::square(4)).unwrap();
+        feed(&mut e, &[1i64; 8]);
+        assert!(e.is_warm());
+        e.reconfigure(EngineConfig::square(8)).unwrap();
+        assert!(!e.is_warm(), "the grown delays lack full frames");
+        assert!(!e.is_complete(8));
+        for i in 0..8 {
+            assert_eq!(e.is_warm(), (1..=8).all(|m| e.is_complete(m)), "i={i}");
+            e.push(1);
+        }
+        assert!(e.is_warm());
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! * [`detector::FrameDetector`] — frame-based analysis of a complete slice,
 //!   producing a full [`spectrum::Spectrum`] of `d(m)` values (paper Fig. 4),
 //! * [`streaming::StreamingDpd`] — the on-line detector with per-sample cost
-//!   `O(M)` that performs **segmentation** of the stream into periods (the
+//!   `O(M)` while searching and `O(1)` while locked on an event stream, that
+//!   performs **segmentation** of the stream into periods (the
 //!   semantics of the paper's `int DPD(long sample, int *period)` interface),
 //! * [`nested::NestedDetector`] / [`streaming::MultiScaleDpd`] — detection of
 //!   nested iterative structures (hydro2d/turb3d in the paper's Table 2),

@@ -2,8 +2,9 @@
 //!
 //! [`StreamingDpd`] is the run-time detector of the paper: samples are pushed
 //! one at a time (the value passed to `int DPD(long sample, int *period)` in
-//! Table 1), the `d(m)` sums are maintained incrementally in O(M), and the
-//! detector reports a [`SegmentEvent::PeriodStart`] whenever the current
+//! Table 1), the `d(m)` sums are maintained incrementally in O(M) while
+//! searching (O(1) while locked on an event stream, see
+//! [`StreamingDpd::push`]), and the detector reports a [`SegmentEvent::PeriodStart`] whenever the current
 //! sample starts a new period of the detected periodicity — exactly the
 //! "returns a value different from zero" contract used by the SelfAnalyzer
 //! integration (paper Fig. 6).
@@ -21,6 +22,7 @@ use crate::metric::{EventMetric, L1Metric, Metric};
 use crate::minima::MinimaPolicy;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::spectrum::Spectrum;
+use std::borrow::Cow;
 
 /// Configuration of a [`StreamingDpd`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -277,7 +279,26 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
 
     /// Snapshot of the current `d(m)` spectrum.
     pub fn spectrum(&self) -> Spectrum {
-        self.engine.spectrum()
+        self.current_engine().spectrum()
+    }
+
+    /// The engine with every sum current: while tracked pushes have left
+    /// them stale, a copy with all sums recounted from history (for exact
+    /// metrics equal, bit for bit, to an engine that updated every delay).
+    fn current_engine(&self) -> Cow<'_, IncrementalEngine<T, M>> {
+        if self.sums_stale() {
+            let mut engine = self.engine.clone();
+            engine.resync();
+            Cow::Owned(engine)
+        } else {
+            Cow::Borrowed(&self.engine)
+        }
+    }
+
+    /// `true` while a lock on an exact metric feeds the engine tracked
+    /// pushes, so only the locked delay's sum is current.
+    fn sums_stale(&self) -> bool {
+        matches!(self.state, State::Locked { .. }) && self.engine.metric_ref().exact()
     }
 
     /// Change the data window size at run time (paper `DPDWindowSize`).
@@ -339,9 +360,19 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
     }
 
     /// Push one sample; returns the paper's `DPD()` outcome for it.
+    ///
+    /// Searching costs O(M): every `d(m)` is updated and scanned for a zero.
+    /// Locked on an exact metric costs O(1): the state machine reads only
+    /// the locked delay's `d(p)` and the history, so only that sum is
+    /// updated, and all `M` sums are recounted once when the lock is lost.
     pub fn push(&mut self, sample: T) -> SegmentEvent {
         let metric_exact = self.engine.metric_ref().exact();
-        self.engine.push(sample);
+        match self.state {
+            State::Locked { period, .. } if metric_exact => {
+                self.engine.push_tracked(sample, period)
+            }
+            _ => self.engine.push(sample),
+        }
         let position = self.stats.samples;
         self.stats.samples += 1;
 
@@ -398,12 +429,7 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
                     } else {
                         let misses = misses + 1;
                         if misses >= self.config.lose {
-                            self.state = State::Searching {
-                                candidate: None,
-                                agree: 0,
-                            };
-                            self.stats.losses += 1;
-                            SegmentEvent::PeriodLost { period, position }
+                            self.lose_lock(period, position)
                         } else {
                             self.state = State::Locked {
                                 period,
@@ -417,12 +443,7 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
                 } else if metric_exact && !self.sample_matches_period(period) {
                     // Mid-period structural mismatch on an exact stream: the
                     // pattern changed (e.g. nested inner iteration ended).
-                    self.state = State::Searching {
-                        candidate: None,
-                        agree: 0,
-                    };
-                    self.stats.losses += 1;
-                    SegmentEvent::PeriodLost { period, position }
+                    self.lose_lock(period, position)
                 } else {
                     self.state = State::Locked {
                         period,
@@ -436,6 +457,20 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
         }
     }
 
+    /// Drop the lock on `period` and return to searching. The tracked
+    /// pushes of the lock left every other sum stale, so recount them all.
+    fn lose_lock(&mut self, period: usize, position: u64) -> SegmentEvent {
+        if self.sums_stale() {
+            self.engine.resync();
+        }
+        self.state = State::Searching {
+            candidate: None,
+            agree: 0,
+        };
+        self.stats.losses += 1;
+        SegmentEvent::PeriodLost { period, position }
+    }
+
     /// Push a whole slice of samples, returning every non-trivial event in
     /// stream order. Semantically identical to calling
     /// [`StreamingDpd::push`] per sample and discarding
@@ -443,10 +478,13 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
     /// absolute stream position of the sample that produced it, so callers
     /// can associate events with samples positionally.
     ///
-    /// Detection is inherently per-sample (the state machine must see every
-    /// intermediate spectrum), so this steps the same per-sample fast path
-    /// as `push`; the batch form buys positional event collection, not a
-    /// different algorithm. Callers that only need final spectra should use
+    /// This steps the same per-sample path as `push`: while searching the
+    /// state machine must see every intermediate spectrum (O(M) per
+    /// sample), and while locked on an exact metric each sample costs one
+    /// tracked update of the locked delay plus one comparison with the
+    /// sample a period earlier (O(1)). The batch form buys positional event
+    /// collection, not a different algorithm. Callers that only need final
+    /// spectra should use
     /// [`IncrementalEngine::push_slice`](crate::incremental::IncrementalEngine::push_slice),
     /// whose block ingestion skips per-push bookkeeping entirely.
     pub fn push_slice(&mut self, samples: &[T]) -> Vec<SegmentEvent> {
@@ -489,7 +527,7 @@ impl<T: Copy + PartialEq, M: Metric<T>> StreamingDpd<T, M> {
         put: &impl Fn(&mut SnapshotWriter, T),
     ) {
         crate::snapshot::write_streaming_config(w, &self.config);
-        self.engine.snapshot_state(w, put);
+        self.current_engine().snapshot_state(w, put);
         match self.state {
             State::Searching { candidate, agree } => {
                 w.u8(0);
@@ -984,6 +1022,37 @@ mod tests {
         }
         assert_eq!(got, expected);
         assert_eq!(batch.detected_periods(), single.detected_periods());
+    }
+
+    #[test]
+    fn locked_state_bytes_equal_a_fully_updated_engine() {
+        // While locked only d(p) is tracked; the engine state a snapshot
+        // writes must still equal that of an engine updating every delay.
+        let mut data: Vec<i64> = (0..90).map(|i| [1, 2, 3, 1, 5][i % 5]).collect();
+        data.push(9);
+        data.extend((0..70).map(|i| [4, 4, 6][i % 3]));
+        for window in [5usize, 8, 13] {
+            let mut dpd = DpdBuilder::new().window(window).build_detector().unwrap();
+            let mut full = IncrementalEngine::new(EventMetric, dpd.config.engine_config()).unwrap();
+            let mut locked_samples = 0;
+            for &s in &data {
+                dpd.push(s);
+                full.push(s);
+                locked_samples += usize::from(dpd.sums_stale());
+                let (mut tracked, mut reference) = (SnapshotWriter::new(), SnapshotWriter::new());
+                dpd.current_engine()
+                    .snapshot_state(&mut tracked, &|w, v| w.i64(v));
+                full.snapshot_state(&mut reference, &|w, v| w.i64(v));
+                assert_eq!(
+                    tracked.into_bytes(),
+                    reference.into_bytes(),
+                    "window {window}"
+                );
+                assert_eq!(dpd.spectrum(), full.spectrum(), "window {window}");
+            }
+            assert!(locked_samples > 50, "window {window}: {locked_samples}");
+            assert!(dpd.stats().losses >= 1, "window {window}");
+        }
     }
 
     #[test]

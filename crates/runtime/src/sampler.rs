@@ -31,8 +31,13 @@ impl Sampler {
                 let mut samples = Vec::new();
                 let start = Instant::now();
                 let mut tick = 0u64;
-                while !stop2.load(Ordering::Acquire) {
+                // Sample, then check: a stop that lands before this thread
+                // first runs still yields the first sample.
+                loop {
                     samples.push(usage.active() as f64);
+                    if stop2.load(Ordering::Acquire) {
+                        break;
+                    }
                     tick += 1;
                     // Absolute-deadline pacing avoids cumulative drift.
                     let deadline = start + period * tick as u32;

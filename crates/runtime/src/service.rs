@@ -844,7 +844,7 @@ impl MultiStreamDpd {
     /// reports itself as a single shard with queue depth 0).
     ///
     /// Both arms read *through the registry*: the inline arm publishes
-    /// the table's stats into its [`ShardMetrics`] and reads them back,
+    /// the table's stats into its shard metrics and reads them back,
     /// the sharded arm reads what the workers last published — so a
     /// live `/metrics` scrape and this snapshot can never disagree.
     pub fn snapshot(&self) -> ServiceSnapshot {
